@@ -14,11 +14,8 @@ import statistics
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: the seed whose reference counts are committed in ``references.json``
-DEFAULT_SEED = 0
-
 #: how many times a run repeats the whole set-up; ``setup_s`` is the median
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 
 
 def sub_seed(seed: int, *parts: int) -> int:
@@ -38,7 +35,8 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     """The q-quantile (0..1) by linear interpolation, or None when fewer
     than ten samples lie beyond it (too few to report)."""
     n = len(values)
-    if n == 0 or n * (1.0 - q) < 10:
+    # rounded, so that 100 samples do carry a p90 (100 * (1 - 0.9) < 10)
+    if n == 0 or round(n * (1.0 - q), 6) < 10:
         return None
     xs = sorted(values)
     pos = q * (n - 1)

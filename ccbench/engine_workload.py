@@ -15,7 +15,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import refs
 from .common import SETUP_REPEATS, PeakRss, Report, describe_passes, median
-from .tracing import LayerHooks, Tracer, finish_trace
+from .tracing import SETUP_TARGETS, LayerHooks, Tracer, finish_trace
 from .workloads import (
     ROAD_QUERIES,
     ROAD_SHARDS,
@@ -76,8 +76,12 @@ class EngineWorkload:
         self.engine_stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def setup(self) -> None:
-        """Build graph and engine, start shards, plan and warm each query."""
+    def setup(self, hooks: Optional[LayerHooks] = None) -> None:
+        """Build graph and engine, start shards, plan and warm each query.
+
+        ``hooks`` trace the planner during the warm-up; they are installed
+        after the shard workers fork, so the workers run unpatched code.
+        """
         from repro.engine import CountingEngine
 
         if self.engine is not None:
@@ -92,8 +96,14 @@ class EngineWorkload:
         else:
             engine = CountingEngine(graph, method="ps-vec", workers=1)
         t2 = perf_counter()
-        for q in self.queries.values():
-            engine.count(q, trials=1, seed=warm_seed(self.seed))
+        if hooks is not None:
+            hooks.install(only=SETUP_TARGETS)
+        try:
+            for q in self.queries.values():
+                engine.count(q, trials=1, seed=warm_seed(self.seed))
+        finally:
+            if hooks is not None:
+                hooks.remove()
         t3 = perf_counter()
         self.graph, self.engine = graph, engine
         self.setup_times.append(
@@ -199,14 +209,10 @@ def run(name: str, seed: int, seconds: float, trace: bool, report: Report,
     tracer = Tracer() if trace else None
     hooks = LayerHooks(tracer) if tracer else None
     try:
-        if hooks:
-            hooks.install()
         for i in range(SETUP_REPEATS):
             ctx = tracer.span("bench.setup", repeat=i) if tracer else nullcontext()
             with ctx:
-                wl.setup()
-        if hooks:
-            hooks.remove()
+                wl.setup(hooks)
         setup_s = median(t["total"] for t in wl.setup_times)
 
         if not trace:
@@ -216,9 +222,6 @@ def run(name: str, seed: int, seconds: float, trace: bool, report: Report,
         else:
             untraced = wl.run_passes(seconds / 2)
             hooks.install()
-            hooks.solver_tables.clear()
-            hooks.wall_stats.clear()
-            hooks.peak_group_bytes = 0
             with tracer.span("bench.measure") as root:
                 traced = wl.run_passes(seconds / 2, tracer, hooks)
             hooks.remove()
@@ -316,4 +319,5 @@ def _layer_metrics(report: Report, wl: EngineWorkload, tracer: Tracer, hooks: La
     traced_pass = median(p.seconds for p in traced)
     m["bench.trace_overhead_frac"] = (
         (traced_pass - untraced_pass) / untraced_pass, len(untraced) + len(traced))
-    finish_trace(report, m, tracer, root, spans, selfs, hooks, out_dir, wl.name, wl.seed)
+    finish_trace(report, m, tracer, root, spans, selfs, "engine.count", hooks, out_dir, wl.name,
+                 wl.seed)

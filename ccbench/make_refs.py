@@ -1,23 +1,23 @@
-"""Regenerate ``references.json``: reference counts for the default seed.
+"""Regenerate ``references.json``: reference counts for the committed seeds.
 
-    python3 ccbench/make_refs.py [--passes 300]
+    python3 ccbench/make_refs.py
 
-Every request of the default seed is counted three ways — in-process
-``ps-vec``, in-process ``ps-dist`` and through a ``repro-serve`` process —
-and the file is written only if all three agree.  It also records the
-exact counts of one pass (trials per request, early stops, kernel rows,
-exchanged rows and supersteps) that every default-seed run must repeat.
-Takes a few minutes.
+For every seed in ``refs.REF_SEEDS``, every request of the workloads
+(for ``service-mixed``, the fresh requests of ``refs.REF_PASSES`` passes)
+is counted three ways — in-process ``ps-vec``, in-process ``ps-dist`` and
+through a ``repro-serve`` process — and the file is written only if all
+three agree.  It also records the exact counts of one pass (trials per
+request, early stops, kernel rows, exchanged rows and supersteps) that
+every run of that seed must repeat.  Takes about an hour on 2 cores.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
 import sys
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -45,7 +45,7 @@ def _agree(label: str, keys: List[Any], **paths: List[List[int]]) -> None:
         values = {n: paths[n][i] for n in names}
         if len({json.dumps(v) for v in values.values()}) != 1:
             raise SystemExit(f"{label} {key}: paths disagree: {values}")
-    print(f"{label}: {len(keys)} requests agree across {', '.join(names)}")
+    print(f"{label}: {len(keys)} requests agree across {', '.join(names)}", flush=True)
 
 
 def engine_refs(name: str, seed: int, work: str) -> Dict[str, Any]:
@@ -58,8 +58,10 @@ def engine_refs(name: str, seed: int, work: str) -> Dict[str, Any]:
 
     wl = EngineWorkload(name, seed)
     wl.setup()
-    keys = list(wl.requests)
+    keys = refs.committed_keys(name, seed)
     hooks = LayerHooks(Tracer()).install()
+    if hooks.missing:
+        raise SystemExit(f"hook targets missing: {hooks.missing}")
     counters0 = _dist_counters()
     measured = [wl.count(q, s) for q, s in keys]
     counters1 = _dist_counters()
@@ -94,25 +96,21 @@ def engine_refs(name: str, seed: int, work: str) -> Dict[str, Any]:
     finally:
         server.stop()
     measured_method = "ps-dist" if wl.dist else "ps-vec"
-    _agree(name, keys, **{measured_method: here, other_method: [other[k] for k in keys],
-                          "service": served})
-    return {
-        "config": refs.workload_config(name),
-        "requests": {refs.key_str(k): v for k, v in zip(keys, here)},
-        "exact": exact,
-    }
+    _agree(f"{name} seed {seed}", keys, **{measured_method: here,
+                                            other_method: [other[k] for k in keys],
+                                            "service": served})
+    return {"counts": here, "exact": exact}
 
 
-def service_refs(seed: int, passes: int, work: str) -> Dict[str, Any]:
+def service_refs(seed: int, work: str) -> Dict[str, Any]:
     from ccbench import refs
     from ccbench.service_workload import Server
-    from ccbench.workloads import SVC_TRIALS, ServicePlan, service_body, service_graphs
+    from ccbench.workloads import SVC_TRIALS, service_body, service_graphs
     from repro.engine import CountingEngine
     from repro.graph.io import write_edge_list
     from repro.query.library import paper_query
 
-    plan = ServicePlan(seed)
-    keys: List[Tuple[str, str, int]] = [k for p in range(passes) for k in plan.fresh(p)]
+    keys = refs.committed_keys("service-mixed", seed)
     graphs = service_graphs(seed)
     paths = {}
     for ds, g in graphs.items():
@@ -136,30 +134,26 @@ def service_refs(seed: int, passes: int, work: str) -> Dict[str, Any]:
         finally:
             for e in engines.values():
                 e.close()
-    _agree("service-mixed", keys, service=served, **results)
-    return {
-        "config": refs.workload_config("service-mixed"),
-        "requests": {refs.key_str(k): v for k, v in zip(keys, served)},
-    }
+    _agree(f"service-mixed seed {seed}", keys, service=served, **results)
+    return {"counts": served}
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--passes", type=int, default=300,
-                        help="service-mixed passes to cover (default: %(default)s)")
-    args = parser.parse_args()
     sys.path.insert(0, os.path.join(ROOT, "src"))
     sys.path.insert(0, ROOT)
     from ccbench import refs
-    from ccbench.common import DEFAULT_SEED
 
     work = os.path.join(ROOT, ".ccbench", f"make-refs-{os.getpid()}")
     os.makedirs(work, exist_ok=True)
+    doc: Dict[str, Dict[str, Any]] = {
+        name: {"config": refs.workload_config(name), "seeds": {}}
+        for name in ("skew-vec", "road-dist", "service-mixed")
+    }
     try:
-        doc = {"seed": DEFAULT_SEED}
-        for name in ("skew-vec", "road-dist"):
-            doc[name] = engine_refs(name, DEFAULT_SEED, work)
-        doc["service-mixed"] = service_refs(DEFAULT_SEED, args.passes, work)
+        for seed in refs.REF_SEEDS:
+            for name in ("skew-vec", "road-dist"):
+                doc[name]["seeds"][str(seed)] = engine_refs(name, seed, work)
+            doc["service-mixed"]["seeds"][str(seed)] = service_refs(seed, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     print(f"wrote {refs.write(doc)}")

@@ -1,12 +1,19 @@
 """Reference colorful counts behind ``ok_frac``.
 
-For the default seed the references are committed in
-``references.json`` (written by ``make_refs.py``, which cross-checks
-in-process ``ps-vec``, ``ps-dist`` and the service response).  For any
-other seed — or a request the file does not hold — they are derived in
-an untimed phase after measuring, through a different backend than the
-one measured: ``ps-dist`` for ``skew-vec``, ``ps-vec`` for ``road-dist``
-and in-process ``ps-vec`` engines for ``service-mixed``.
+For the seeds in :data:`REF_SEEDS` the references are committed in
+``references.json``, written by ``make_refs.py`` only where in-process
+``ps-vec``, in-process ``ps-dist`` and the service response agree.  A run
+with one of these seeds is checked against counts taken when the file
+was made, so a later program that miscounts fails it.
+
+For any other seed — or a service pass beyond :data:`REF_PASSES` — the
+references are derived in an untimed phase after measuring, by the
+program under test through another path than the measured one
+(``ps-dist`` for ``skew-vec``, ``ps-vec`` for ``road-dist``, in-process
+``ps-vec`` engines for ``service-mixed``).  Those paths share the
+vectorized kernel, so derived references check determinism and the
+engine, executor and service layers, not the kernel itself; the run's
+notes say how many references were derived.
 """
 
 from __future__ import annotations
@@ -16,12 +23,19 @@ import os
 from typing import Any, Dict, List, Sequence, Tuple
 
 from . import workloads as W
-from .common import DEFAULT_SEED
 
 REF_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "references.json")
 
+#: seeds whose references are committed
+REF_SEEDS = tuple(range(24))
+#: service-mixed passes covered per committed seed (a run makes ~100)
+REF_PASSES = 150
+
 #: processes that derive references (the development host has 2 cores)
 REF_WORKERS = 2
+
+DERIVED_NOTE = ("derived references come from the program under test and do not "
+                "check its kernel independently")
 
 
 def workload_config(name: str) -> Dict[str, Any]:
@@ -38,24 +52,44 @@ def workload_config(name: str) -> Dict[str, Any]:
             "hits_per_fresh": W.SVC_HITS_PER_FRESH}
 
 
+def committed_keys(name: str, seed: int) -> List[Any]:
+    """The requests whose counts are committed for ``seed``, in file order."""
+    if name == "service-mixed":
+        plan = W.ServicePlan(seed)
+        return [k for p in range(REF_PASSES) for k in plan.fresh(p)]
+    return W.engine_pass(name, seed)
+
+
 def _committed(name: str, seed: int) -> Dict[str, Any]:
-    if seed != DEFAULT_SEED or not os.path.exists(REF_PATH):
+    if seed not in REF_SEEDS or not os.path.exists(REF_PATH):
         return {}
     with open(REF_PATH, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    entry = doc.get(name) or {}
-    if doc.get("seed") != seed or entry.get("config") != workload_config(name):
+        entry = json.load(fh).get(name) or {}
+    if entry.get("config") != workload_config(name):
         return {}
-    return entry
+    return entry.get("seeds", {}).get(str(seed), {})
 
 
 def committed_exact(name: str, seed: int) -> Dict[str, Any]:
-    """Exact counts of one pass committed for the default seed (or {})."""
+    """Exact counts of one pass committed for ``seed`` (or {})."""
     return dict(_committed(name, seed).get("exact", {}))
+
+
+def committed_counts(name: str, seed: int) -> Dict[Any, List[int]]:
+    """Committed colorful counts of ``seed``'s requests (or {})."""
+    counts = _committed(name, seed).get("counts")
+    if not counts:
+        return {}
+    return dict(zip(committed_keys(name, seed), counts))
 
 
 def key_str(key: Sequence[Any]) -> str:
     return "/".join(str(k) for k in key)
+
+
+def _source(n_committed: int, n_derived: int, method: str) -> str:
+    text = f"{n_committed} committed, {n_derived} derived via {method}"
+    return f"{text}; {DERIVED_NOTE}" if n_derived else text
 
 
 # ----------------------------------------------------------------------
@@ -81,13 +115,13 @@ def derive_engine(name: str, graph: Any, queries: Dict[str, Any],
 
 def engine_references(name: str, seed: int, wanted: Sequence[Tuple[str, int]], graph: Any,
                       queries: Dict[str, Any]) -> Tuple[Dict[Tuple[str, int], List[int]], str]:
-    committed = _committed(name, seed).get("requests", {})
-    out = {k: committed[key_str(k)] for k in wanted if key_str(k) in committed}
+    committed = committed_counts(name, seed)
+    out = {k: committed[k] for k in wanted if k in committed}
     missing = [k for k in wanted if k not in out]
     method = "ps-dist" if name == "skew-vec" else "ps-vec"
     if missing:
         out.update(derive_engine(name, graph, queries, missing, method))
-    return out, f"{len(wanted) - len(missing)} committed, {len(missing)} derived via {method}"
+    return out, _source(len(wanted) - len(missing), len(missing), method)
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +151,8 @@ def service_references(seed: int, keys: Sequence[Tuple[str, str, int]]
                        ) -> Tuple[Dict[Tuple[str, str, int], List[int]], str]:
     """References for service requests: committed, then derived in
     spawned processes with in-process ``ps-vec`` engines."""
-    committed = _committed("service-mixed", seed).get("requests", {})
-    out = {k: committed[key_str(k)] for k in keys if key_str(k) in committed}
+    committed = committed_counts("service-mixed", seed)
+    out = {k: committed[k] for k in keys if k in committed}
     missing = [k for k in keys if k not in out]
     if missing:
         import multiprocessing as mp
@@ -130,11 +164,26 @@ def service_references(seed: int, keys: Sequence[Tuple[str, str, int]]
             pool.close()
             pool.join()
         out.update(zip(missing, counts))
-    return out, f"{len(keys) - len(missing)} committed, {len(missing)} derived via ps-vec"
+    return out, _source(len(keys) - len(missing), len(missing), "in-process ps-vec")
 
 
-def write(doc: Dict[str, Any]) -> str:
+def write(doc: Dict[str, Dict[str, Any]]) -> str:
+    """Write ``{workload: {"config": ..., "seeds": {seed: entry}}}`` with
+    one line per seed, so a regenerated file diffs line by line."""
+    lines = ["{"]
+    for wi, name in enumerate(sorted(doc)):
+        entry = doc[name]
+        lines.append(f" {json.dumps(name)}: {{")
+        lines.append(f'  "config": {json.dumps(entry["config"], sort_keys=True)},')
+        lines.append('  "seeds": {')
+        seeds = sorted(entry["seeds"], key=int)
+        for si, seed in enumerate(seeds):
+            body = json.dumps(entry["seeds"][seed], sort_keys=True, separators=(",", ":"))
+            lines.append(f"   {json.dumps(str(seed))}: {body}{',' if si < len(seeds) - 1 else ''}")
+        lines.append("  }")
+        lines.append(" }" + ("," if wi < len(doc) - 1 else ""))
+    lines.append("}")
     with open(REF_PATH, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
     return REF_PATH
+

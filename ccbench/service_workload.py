@@ -248,9 +248,13 @@ class ServiceWorkload:
                 span = tracer.span("service.request") if tracer else nullcontext()
                 t = perf_counter()
                 with span as rec:
+                    body = json.dumps(service_body(key)).encode()
+                    # the round trip through the server: its parse, cache,
+                    # queue, engine and JSON, and the socket both ways
+                    call = tracer.span("http.roundtrip") if tracer else nullcontext()
                     try:
-                        rep.status, data = client.call(
-                            "POST", "/count", json.dumps(service_body(key)).encode())
+                        with call:
+                            rep.status, data = client.call("POST", "/count", body)
                     except (OSError, http.client.HTTPException):
                         data = b""
                     if rep.status == 200:
@@ -436,8 +440,8 @@ def run(root: str, seed: int, seconds: float, trace: bool, report: Report,
         untraced_pass, traced_pass = median(pass_times), median(t_pass_times)
         m["bench.trace_overhead_frac"] = (
             (traced_pass - untraced_pass) / untraced_pass, npass + t_npass)
-        finish_trace(report, m, tracer, root_span, spans, selfs, None, out_dir, "service-mixed",
-                     seed)
+        finish_trace(report, m, tracer, root_span, spans, selfs, "service.request", None, out_dir,
+                     "service-mixed", seed)
     finally:
         wl.close()
         shutil.rmtree(work_dir, ignore_errors=True)

@@ -3,8 +3,10 @@
 A :class:`Tracer` keeps spans in memory (name, start, end, parent span,
 request id, attributes) and writes them out once, as Chrome trace-event
 JSON that ``python -m repro.obs.view`` renders.  :class:`LayerHooks`
-wraps public entry points of each module for the traced run only and
-restores them afterwards; the untraced run executes the program as is.
+wraps public entry points of each module for the traced phase only and
+restores them afterwards; set-up patches only the planner, and only after
+any shard worker has forked, so the untraced phase and every worker
+process execute the program as is.
 
 Self time of a span is its duration minus the time its direct children
 cover.  The benchmark is single-threaded, so child spans never overlap.
@@ -17,9 +19,9 @@ import os
 import threading
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["Tracer", "LayerHooks"]
+__all__ = ["Tracer", "LayerHooks", "SETUP_TARGETS", "finish_trace"]
 
 
 class SpanRecord:
@@ -114,12 +116,17 @@ def _json_safe(value: Any) -> Any:
     return str(value)
 
 
+#: the only hook set-up installs: it starts no process while patched code
+#: is live, so forked shard workers run the program as is
+SETUP_TARGETS = ("repro.engine.engine.heuristic_plan",)
+
+
 class LayerHooks:
     """Wrap module entry points with spans; :meth:`remove` restores them.
 
-    Targets are looked up by name.  A target a later version of the
-    program no longer has is listed in :attr:`missing`, and the metrics
-    of that layer read 0 instead of failing the run.
+    Targets are looked up by name.  A target the program no longer has is
+    listed in :attr:`missing`; the traced run reports it as a problem, so
+    a renamed layer fails the run instead of reading 0.
     """
 
     def __init__(self, tracer: Tracer) -> None:
@@ -134,7 +141,8 @@ class LayerHooks:
         self.wall_stats: List[object] = []
 
     # -- patching ---------------------------------------------------------
-    def install(self) -> "LayerHooks":
+    def install(self, only: Optional[Sequence[str]] = None) -> "LayerHooks":
+        """Patch every target, or only the dotted names in ``only``."""
         import importlib
 
         targets = (
@@ -149,6 +157,8 @@ class LayerHooks:
         )
         for module, cls, attr, make in targets:
             name = ".".join(x for x in (module, cls, attr) if x)
+            if only is not None and name not in only:
+                continue
             try:
                 owner: Any = importlib.import_module(module)
             except ImportError:
@@ -157,7 +167,8 @@ class LayerHooks:
                 owner = getattr(owner, cls, None)
             original = getattr(owner, attr, None)
             if original is None:
-                self.missing.append(name)
+                if name not in self.missing:
+                    self.missing.append(name)
                 continue
             self._saved.append((owner, attr, original))
             setattr(owner, attr, make(original))
@@ -246,29 +257,39 @@ class LayerHooks:
         return count
 
 
-#: ``bench.span_coverage`` must reach this: the layer spans may leave at
-#: most 3% of the traced phase's wall time to the benchmark's own loop
-COVERAGE_MIN = 0.97
+#: ``bench.span_coverage`` must reach this: the program's layers below the
+#: per-request wrapper must account for 90% of the traced phase.  The rest
+#: is the wrapper's own time (engine bookkeeping between kernel calls, or
+#: the client's JSON handling) and the benchmark loop; a hook that no
+#: longer fires moves its layer's time there and fails the check.
+COVERAGE_MIN = 0.90
 
 
 def finish_trace(report: Any, metrics: Dict[str, Tuple[float, int]], tracer: Tracer,
                  root: SpanRecord, spans: List[SpanRecord], selfs: Dict[int, float],
-                 hooks: Optional[LayerHooks], out_dir: str, workload: str, seed: int) -> None:
-    """Span coverage, the per-layer self-time table and the trace file."""
+                 wrapper: str, hooks: Optional[LayerHooks], out_dir: str, workload: str,
+                 seed: int) -> None:
+    """Span coverage, the per-layer self-time table and the trace file.
+
+    ``wrapper`` names the span the benchmark puts around each request;
+    coverage is the self time of every other span over the phase's wall
+    time.
+    """
     by_layer: Dict[str, float] = {}
     for rec in spans:
-        layer = rec.name.split(".", 1)[0]
+        layer = rec.name if rec.name == wrapper else rec.name.split(".", 1)[0]
         by_layer[layer] = by_layer.get(layer, 0.0) + selfs[rec.sid]
-    covered = sum(by_layer.values())
+    covered = sum(secs for layer, secs in by_layer.items() if layer != wrapper)
     coverage = covered / root.dur if root.dur > 0 else 0.0
     metrics["bench.span_coverage"] = (coverage, len(spans))
-    report.notes.append(f"traced phase {root.dur:.3f} s; self time by layer:")
+    report.notes.append(f"traced phase {root.dur:.3f} s; self time by layer "
+                        f"({wrapper} is the per-request wrapper):")
     for layer, secs in sorted(by_layer.items(), key=lambda kv: -kv[1]):
-        report.notes.append(f"  {layer:14s} {secs:9.3f} s  {secs / root.dur:7.2%}")
+        report.notes.append(f"  {layer:16s} {secs:9.3f} s  {secs / root.dur:7.2%}")
     if not COVERAGE_MIN <= coverage <= 1.0 + 1e-9:
         report.problem(f"span coverage {coverage:.4f} outside [{COVERAGE_MIN}, 1]")
     if hooks is not None and hooks.missing:
-        report.notes.append(f"hook targets missing (their layers read 0): {hooks.missing}")
+        report.problem(f"hook targets missing from the program: {hooks.missing}")
     path = os.path.join(out_dir, f"trace-{workload}-{seed}.json")
     doc = tracer.write_chrome(path, trace_id=f"{workload}-{seed}")
     try:

@@ -34,6 +34,18 @@ from .common import sub_seed
 
 WORKLOADS = ("skew-vec", "road-dist", "service-mixed")
 
+#: per-layer metrics (name prefixes) of layers a workload does not run in
+#: the benchmark process; they read 0, and any other missing metric fails
+#: the traced run
+UNMEASURED = {
+    "skew-vec": ("dist.", "service."),
+    # the kernels run inside the shard workers
+    "road-dist": ("kernel.", "service."),
+    # the engine runs inside the server process
+    "service-mixed": ("decomposition.", "colorings.", "kernel.", "dist.",
+                      "engine.self_ms_per_trial", "engine.early_stop_frac"),
+}
+
 # -- skew-vec ---------------------------------------------------------------
 SKEW_N, SKEW_GAMMA, SKEW_AVG, SKEW_CAP = 6000, 2.1, 5.0, 300
 SKEW_QUERIES = ("glet1", "youtube", "wiki")
