@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import statistics
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -265,6 +266,10 @@ STRICT_OVERHEAD_LIMIT = 1.3
 #: reads per call site, so instrumentation must be within noise of free
 OBS_OVERHEAD_LIMIT = 1.05
 
+#: interleaved rounds behind the two overhead ratios above (each round
+#: is one run of each of three arms; the gates read per-round medians)
+OVERHEAD_ROUNDS = 41
+
 
 def calibration_seconds(repeats: int = 3) -> float:
     """Machine-speed probe: a fixed lexsort + segment-sum workload.
@@ -407,7 +412,9 @@ def run_perf_smoke(
     identical across methods and runs — so records compare kernels, not
     color luck.  Every record carries both raw ``seconds`` and a
     machine-relative ``calibrated`` figure (seconds over this run's
-    :func:`calibration_seconds`), which is what the gate compares.
+    :func:`calibration_seconds`), which is what the gate compares.  The
+    two overhead records carry ratios from interleaved rounds instead
+    (see :data:`OVERHEAD_ROUNDS`).
     """
     from .datasets import dataset
     from ..query.library import paper_query
@@ -432,13 +439,17 @@ def run_perf_smoke(
             )
         )
 
-    # strict-namespace datapoint: same cell, same plan/coloring, ps-vec
-    # through the audited StrictNamespace stub.  The record carries the
-    # measured overhead ratio; main() gates it at STRICT_OVERHEAD_LIMIT.
-    # The ratio is best-of-N strict over best-of-N numpy timed
-    # back-to-back here (one warmup each, repeat floor of 3) — the grid's
-    # numpy record above may be a single cold sample under --repeats 1,
-    # and a ratio of two cold singles is all noise.
+    # strict-namespace and obs-overhead datapoints: the same ps-vec cell,
+    # plan and coloring under three arms — raw NumPy with obs enabled
+    # (the default: spans and counters present, nobody collecting), the
+    # audited StrictNamespace stub, and NumPy with the obs kill-switch
+    # thrown.  The arms run interleaved, one run of each per round with
+    # NumPy in the middle and the outer two swapping places every round,
+    # so a drift in machine speed lands on every arm alike.  Each round
+    # gives one strict/numpy and one enabled/disabled ratio of adjacent
+    # runs; main() gates the medians of those per-round ratios at
+    # STRICT_OVERHEAD_LIMIT and OBS_OVERHEAD_LIMIT.
+    from .. import obs
     from ..engine.backends import DEFAULT_REGISTRY
 
     gname, qname = STRICT_OVERHEAD_CELL
@@ -447,51 +458,54 @@ def run_perf_smoke(
     colors = _bench_coloring(engine, q.k)
     plan = engine.plan_for(q)
     vec = DEFAULT_REGISTRY.get("ps-vec")
+    arms = ("strict", "numpy", "obs-off")
 
-    def _best_of(namespace: str, reps: int) -> Tuple[float, int]:
-        vec.count_colorful(engine.graph, q, colors, plan=plan, namespace=namespace)
-        best, count = math.inf, 0
-        for _ in range(reps):
+    def _timed(arm: str) -> Tuple[float, int]:
+        if arm == "obs-off":
+            obs.disable()
+        try:
             t0 = time.perf_counter()
             count = vec.count_colorful(
-                engine.graph, q, colors, plan=plan, namespace=namespace
+                engine.graph, q, colors, plan=plan,
+                namespace="strict" if arm == "strict" else "numpy",
             )
-            best = min(best, time.perf_counter() - t0)
-        return best, count
+            return time.perf_counter() - t0, count
+        finally:
+            if arm == "obs-off":
+                obs.enable()
 
-    reps = max(3, repeats)
-    numpy_best, numpy_count = _best_of("numpy", reps)
-    best, count = _best_of("strict", reps)
-    assert count == numpy_count, "strict namespace changed the count"
+    times: Dict[str, List[float]] = {arm: [] for arm in arms}
+    counts = {arm: _timed(arm)[1] for arm in arms}  # warm-up round
+    for i in range(OVERHEAD_ROUNDS):
+        for arm in arms if i % 2 else arms[::-1]:
+            seconds, count = _timed(arm)
+            times[arm].append(seconds)
+            assert count == counts[arm], f"{arm} count changed between rounds"
     numpy_ref = next(
         r for r in records if r["key"] == f"perf_smoke/{gname}/{qname}/ps-vec"
     )
-    assert count == numpy_ref["count"], "strict namespace changed the count"
+    assert counts["strict"] == counts["numpy"] == numpy_ref["count"], (
+        "strict namespace changed the count"
+    )
+    assert counts["obs-off"] == counts["numpy"], "obs kill-switch changed the count"
+
+    def _median_ratio(num: str, den: str) -> float:
+        return statistics.median(a / b for a, b in zip(times[num], times[den]))
+
+    best = min(times["strict"])
     records.append(
         bench_record(
             "perf_smoke", gname, qname, "ps-vec@strict", best,
-            count=count, calibrated=best / cal, namespace="strict",
-            overhead_vs_numpy=best / numpy_best,
+            count=counts["strict"], calibrated=best / cal, namespace="strict",
+            overhead_vs_numpy=_median_ratio("strict", "numpy"),
         )
     )
-
-    # obs-overhead datapoint: the same ps-vec cell with the observability
-    # layer kill-switched off.  ``numpy_best`` above ran with obs enabled
-    # (the default: spans and counters present, nobody collecting);
-    # main() gates enabled-over-disabled at OBS_OVERHEAD_LIMIT.
-    from .. import obs
-
-    obs.disable()
-    try:
-        off_best, off_count = _best_of("numpy", reps)
-    finally:
-        obs.enable()
-    assert off_count == numpy_count, "obs kill-switch changed the count"
+    best = min(times["obs-off"])
     records.append(
         bench_record(
-            "perf_smoke", gname, qname, "ps-vec@obs-off", off_best,
-            count=off_count, calibrated=off_best / cal,
-            overhead_obs_enabled=numpy_best / off_best,
+            "perf_smoke", gname, qname, "ps-vec@obs-off", best,
+            count=counts["obs-off"], calibrated=best / cal,
+            overhead_obs_enabled=_median_ratio("numpy", "obs-off"),
         )
     )
     return records

@@ -587,28 +587,6 @@ class ShardedExecutor:
             self._runs += 1
             return ShardResult(int(count), stats)
 
-    def count_batch(
-        self,
-        plan: Plan,
-        colorings: Sequence[Sequence[int]],
-        num_colors: Optional[int] = None,
-    ) -> List[ShardResult]:
-        """Batch-of-trials protocol: run several colorings back to back.
-
-        The whole batch executes under a single run-lock acquisition, so
-        trials from one adaptive batch are never interleaved with
-        concurrent :meth:`count` calls from other threads sharing the
-        pool (service job workers), and the plan is registered with the
-        workers at most once for the batch.  Each trial is the exact
-        :meth:`count` superstep sequence — results are bit-identical to
-        calling :meth:`count` per coloring in the same order.
-        """
-        with self._run_lock:
-            return [
-                self.count(plan, colors, num_colors=num_colors)
-                for colors in colorings
-            ]
-
     def describe(self) -> Dict[str, object]:
         """JSON-safe snapshot of this pool (surfaced by the service's
         ``/stats`` endpoint)."""

@@ -136,33 +136,6 @@ class CountingBackend:
         """Colorful matches of ``query`` in ``g`` under ``colors``."""
         raise NotImplementedError
 
-    def count_colorful_batch(
-        self,
-        g: Graph,
-        query: QueryGraph,
-        colorings: Sequence[Sequence[int]],
-        plan: Optional[Plan] = None,
-        ctx: Optional[ExecutionContext] = None,
-        num_colors: Optional[int] = None,
-        **extra: object,
-    ) -> List[int]:
-        """Colorful counts for a batch of colorings (one per trial).
-
-        The engine's adaptive scheduler feeds trials through this seam
-        so backends with per-call orchestration cost can amortise it —
-        the sharded ``ps-dist`` executor runs the whole batch under one
-        run-lock acquisition.  The default is the obvious loop and is
-        bit-identical to calling :meth:`count_colorful` per coloring
-        (which the parity tests pin down for every backend).
-        """
-        return [
-            self.count_colorful(
-                g, query, colors, plan=plan, ctx=ctx,
-                num_colors=num_colors, **extra,  # type: ignore[arg-type]
-            )
-            for colors in colorings
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -334,41 +307,6 @@ class DistributedBackend(CountingBackend):
             g, query, colors, plan=plan, num_colors=num_colors,
             workers=workers, strategy=partition, executor=executor,
         )
-
-    def count_colorful_batch(
-        self,
-        g: Graph,
-        query: QueryGraph,
-        colorings: Sequence[Sequence[int]],
-        plan: Optional[Plan] = None,
-        ctx: Optional[ExecutionContext] = None,
-        num_colors: Optional[int] = None,
-        workers: Optional[int] = None,
-        partition: str = "block",
-        executor: Optional[ShardedExecutor] = None,
-        **extra: object,
-    ) -> List[int]:
-        """Run a batch of trials through the executor's batch protocol.
-
-        One run-lock acquisition covers the whole batch: the trials
-        cannot interleave with concurrent service jobs sharing the
-        pooled executor, and plan registration is amortised once.
-        Counts are bit-identical to per-coloring :meth:`count_colorful`.
-        """
-        self.check(query, num_colors)
-        plan = plan if plan is not None else heuristic_plan(query)
-        if executor is not None:
-            if executor.graph is not g:
-                raise ValueError("executor is bound to a different data graph")
-            return [
-                r.count
-                for r in executor.count_batch(plan, colorings, num_colors=num_colors)
-            ]
-        with ShardedExecutor(g, workers=workers, strategy=partition) as ex:
-            return [
-                r.count
-                for r in ex.count_batch(plan, colorings, num_colors=num_colors)
-            ]
 
 
 class TreeletBackend(CountingBackend):

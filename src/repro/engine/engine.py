@@ -13,14 +13,20 @@ legacy free functions recomputed on every call:
 
 Single queries run through :meth:`CountingEngine.count`, batches through
 :meth:`CountingEngine.count_many`; both accept :class:`CountRequest`
-objects or raw queries plus keyword overrides.  ``workers=N`` fans the
-independent color-coding trials out over processes, bit-identical to the
-sequential path for the same seed (colorings are drawn up front from the
-same deterministic batch).  With a *distributed* backend
-(``method="ps-dist"``) ``workers`` instead sizes the shard pool: each
-trial runs once, sharded across N real worker processes, and the engine
-keeps the pool alive across trials/requests (a fourth cache — close it
-with :meth:`CountingEngine.close` or an engine ``with`` block).
+objects or raw queries plus keyword overrides.
+
+Every request runs one trial loop: draw a batch of colorings, count the
+colorful matches of each, fold the counts into a streaming estimate,
+and repeat until the trial policy (:class:`PrecisionSpec`) is met.  A
+fixed policy is the ``min_trials == max_trials`` case of an adaptive
+one.  ``workers=N`` runs each batch on a fork pool instead of
+in-process, bit-identical to the sequential path for the same seed
+(colorings come from the same deterministic stream).  With a
+*distributed* backend (``method="ps-dist"``) ``workers`` instead sizes
+the shard pool: each trial runs once, sharded across N real worker
+processes, and the engine keeps the pool alive across trials/requests
+(a fourth cache — close it with :meth:`CountingEngine.close` or an
+engine ``with`` block).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import time
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..distributed.executor import ShardedExecutor
@@ -59,7 +65,7 @@ __all__ = ["CountingEngine", "EngineStats", "ProgressCallback"]
 if TYPE_CHECKING:
     from typing import Callable
 
-    #: signature of the optional per-batch progress hook: receives the
+    #: signature of the optional per-trial progress hook: receives the
     #: JSON-safe snapshot built by :func:`_progress_snapshot`
     ProgressCallback = Callable[[Dict[str, object]], None]
 else:  # pragma: no cover - runtime alias only
@@ -426,7 +432,7 @@ class CountingEngine:
         ``rel_error`` set the scheduler stops as soon as the empirical
         confidence interval meets the target (never under ``min_trials``
         nor over ``max_trials``); ``on_progress``, if given, receives a
-        JSON-safe refining-CI snapshot after every trial batch.
+        JSON-safe refining-CI snapshot after every trial.
 
         ``workers > 1`` and simulated-rank accounting are mutually
         exclusive: with ``nranks > 1`` (or an explicit ``ctx``) trials
@@ -506,7 +512,6 @@ class CountingEngine:
         # the trial policy: an explicit PrecisionSpec, or bare trials
         # desugared to the equivalent fixed spec (validates trials >= 1)
         spec = r.effective_precision()
-        adaptive = spec.is_adaptive
         cap = spec.max_trials
         k = q.k
         kc = r.num_colors if r.num_colors is not None else k
@@ -558,6 +563,8 @@ class CountingEngine:
             not distributed
             and workers > 1 and cap >= 2 and ctx is None and fork is not None
         )
+        if not parallel and not distributed:
+            workers = 1
         ns_extra = self._namespace_extra(backend, r.namespace)
         extra = {**self._distributed_extra(backend, workers), **ns_extra}
         # the streaming accumulator doubles as the CI provenance for
@@ -567,101 +574,76 @@ class CountingEngine:
             scale, rel_variance_bound=estimator_relative_variance_bound(k, kc)
         )
         stopped_early = False
+        counts: List[int] = []
+        # per-trial wall clocks exist only where trials run one by one
+        times: List[float] = []
+        trial_times = None if parallel else times
+
+        def run_here(batch: Sequence[Sequence[int]]) -> Iterator[int]:
+            # in-process trials, lazily: each one is folded (and reported)
+            # before the next starts
+            for colors in batch:
+                t1 = time.perf_counter()
+                with obs.span("engine.trial", index=len(counts)):
+                    c = backend.count_colorful(
+                        self.graph, q, colors, plan=plan, ctx=ctx,
+                        num_colors=r.num_colors, **extra,
+                    )
+                times.append(time.perf_counter() - t1)
+                yield c
+
         t0 = time.perf_counter()
-        trial_times: Optional[List[float]]
-        counts: List[int]
-        if not adaptive:
-            # fixed policy: the historical path, bit for bit — one batch
-            # of exactly cap colorings, all of them executed
-            colorings = coloring_batch(
-                self.graph.n, kc, cap, r.seed, strategy=r.coloring_strategy
+        # one trial loop for every policy; a fixed policy is the
+        # min_trials == max_trials case, its colorings drawn up front.  An
+        # adaptive one draws lazily from the *same* generator stream, so
+        # the first t trials of any run are bit-identical to a fixed
+        # t-trial run under the same seed.
+        if spec.is_adaptive:
+            draws = coloring_stream(
+                self.graph.n, kc, r.seed, strategy=r.coloring_strategy
             )
+        else:
+            draws = iter(coloring_batch(
+                self.graph.n, kc, cap, r.seed, strategy=r.coloring_strategy
+            ))
+        # the first batch reaches the floor (min_trials, or all of a fixed
+        # run); later ones keep a process pool busy, or go one trial at a
+        # time in-process (finest-grained stopping)
+        floor = spec.min_trials if spec.is_adaptive else cap
+        step = workers if parallel else 1
+        pool = None
+        try:
             if parallel:
-                with fork.Pool(
+                pool = fork.Pool(
                     processes=workers,
                     initializer=_init_worker,
                     initargs=(
                         backend, self.graph, q, plan, r.num_colors, ns_extra,
                         trace_id,
                     ),
-                ) as pool:
-                    counts = pool.map(_run_trial, colorings)
-                trial_times = None
-                for c in counts:
+                )
+            while len(counts) < cap:
+                want = floor - len(counts) if len(counts) < floor else step
+                batch = [next(draws) for _ in range(min(want, cap - len(counts)))]
+                new: Iterable[int] = (
+                    pool.map(_run_trial, batch) if pool is not None else run_here(batch)
+                )
+                for c in new:
                     acc.push(int(c))
-            else:
-                if not distributed:
-                    workers = 1
-                counts = []
-                trial_times = []
-                for colors in colorings:
-                    t1 = time.perf_counter()
-                    with obs.span("engine.trial", index=len(counts)):
-                        counts.append(
-                            backend.count_colorful(
-                                self.graph, q, colors, plan=plan, ctx=ctx,
-                                num_colors=r.num_colors, **extra,
-                            )
-                        )
-                    trial_times.append(time.perf_counter() - t1)
-                    acc.push(int(counts[-1]))
+                    counts.append(int(c))
                     if on_progress is not None:
                         on_progress(_progress_snapshot(acc, spec))
-        else:
-            # adaptive policy: draw colorings lazily from the *same*
-            # generator stream the fixed path batches from, so the first
-            # t trials of any adaptive run are bit-identical to a fixed
-            # t-trial run under the same seed (the parity invariant)
-            stream = coloring_stream(
-                self.graph.n, kc, r.seed, strategy=r.coloring_strategy
-            )
-            if not parallel and not distributed:
-                workers = 1
-            # batch granularity: enough to keep a process pool busy, one
-            # trial at a time otherwise (finest-grained stopping)
-            step = workers if parallel else 1
-            counts = []
-            trial_times = None
-            pool = None
-            try:
-                if parallel:
-                    pool = fork.Pool(
-                        processes=workers,
-                        initializer=_init_worker,
-                        initargs=(
-                            backend, self.graph, q, plan, r.num_colors, ns_extra,
-                            trace_id,
-                        ),
-                    )
-                while len(counts) < cap:
-                    if len(counts) < spec.min_trials:
-                        want = spec.min_trials - len(counts)
-                    else:
-                        want = step
-                    want = max(1, min(want, cap - len(counts)))
-                    batch = [next(stream) for _ in range(want)]
-                    with obs.span("engine.batch", start=len(counts), size=want):
-                        if pool is not None:
-                            new = pool.map(_run_trial, batch)
-                        else:
-                            new = backend.count_colorful_batch(
-                                self.graph, q, batch, plan=plan, ctx=ctx,
-                                num_colors=r.num_colors, **extra,
-                            )
-                    for c in new:
-                        acc.push(int(c))
-                        counts.append(int(c))
-                    if on_progress is not None:
-                        on_progress(_progress_snapshot(acc, spec))
-                    if len(counts) >= spec.min_trials and acc.precision_met(
-                        spec.rel_error, spec.confidence
-                    ):
-                        stopped_early = len(counts) < cap
-                        break
-            finally:
-                if pool is not None:
-                    pool.close()
-                    pool.join()
+                if (
+                    spec.is_adaptive
+                    and len(counts) >= floor
+                    and acc.precision_met(spec.rel_error, spec.confidence)
+                ):
+                    stopped_early = len(counts) < cap
+                    break
+        finally:
+            if pool is not None:
+                pool.close()
+                pool.join()
         wall = time.perf_counter() - t0
 
         hw = acc.relative_halfwidth(spec.confidence)

@@ -46,8 +46,10 @@ class RunResult(EstimateResult):
     Inherits the statistical surface of :class:`EstimateResult`
     (``estimate``, ``colorful_mean``, ``relative_std``,
     ``coefficient_of_variation``, ``estimated_subgraphs``); adds the
-    execution record.  ``trial_times`` is ``None`` for process-parallel
-    runs, where per-trial wall clocks are not individually meaningful.
+    execution record.  ``trial_times`` has one entry per trial when the
+    trials run in-process (sequential and ``ps-dist`` runs, fixed or
+    adaptive); it is ``None`` when they fan out over a process pool,
+    where per-trial wall clocks are not individually meaningful.
     """
 
     method: str = ""

@@ -1,7 +1,5 @@
 """Tests for the unified counting engine (repro.engine)."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -198,9 +196,7 @@ class TestCountMany:
         assert engine.stats.plan_builds == len(queries)
 
         for q, run in zip(queries, batch):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = estimate_matches(g, q, trials=3, seed=7, method="db")
+            legacy = estimate_matches(g, q, trials=3, seed=7, method="db")
             assert run.colorful_counts == legacy.colorful_counts, q.name
             assert run.estimate == legacy.estimate, q.name
             assert run.scale == legacy.scale, q.name
@@ -289,29 +285,6 @@ class TestRunResult:
 
 
 class TestDeprecatedShims:
-    def test_stubs_importable_but_raise(self, graph, rng):
-        from repro.counting import count, count_colorful, count_exact, make_context
-        from repro.counting.api import count as api_count
-
-        assert api_count is count
-        q = cycle_query(3)
-        colors = rng.integers(0, 3, size=graph.n)
-        for call in (
-            lambda: count_colorful(graph, q, colors),
-            lambda: count(graph, q, trials=2, seed=1),
-            lambda: count_exact(graph, q),
-            lambda: make_context(graph, nranks=2),
-        ):
-            with pytest.raises(DeprecationWarning, match="has been removed"):
-                call()
-
-    def test_parallel_stub_raises(self, graph):
-        from repro.counting import estimate_matches_parallel
-
-        q = paper_query("glet1")
-        with pytest.raises(DeprecationWarning, match="workers=N"):
-            estimate_matches_parallel(graph, q, trials=3, seed=2, workers=2)
-
     def test_engine_replaces_shims(self, graph, rng):
         q = cycle_query(3)
         colors = rng.integers(0, 3, size=graph.n)

@@ -14,9 +14,6 @@ from repro.query import (
     path_query,
 )
 
-# this module deliberately exercises the deprecated pre-engine shim API
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 
 class TestIsomorphism:

@@ -16,9 +16,6 @@ from repro.motifs import (
 )
 from repro.query import are_isomorphic, cycle_query, path_query
 
-# this module deliberately exercises the deprecated pre-engine shim API
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 
 class TestMotifEnumeration:

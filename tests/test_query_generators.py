@@ -1,7 +1,5 @@
 """Tests for the random treewidth-2 query generators."""
 
-import pytest
-
 from repro.query import (
     is_treewidth_at_most_2,
     random_cactus,
@@ -9,9 +7,6 @@ from repro.query import (
     random_series_parallel,
     random_tw2_query,
 )
-
-# this module deliberately exercises the deprecated pre-engine shim API
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 
